@@ -20,6 +20,12 @@
    [base * words-ratio].  An allocation-free baseline row (0 words) is
    unaffected — 0 * ratio is 0, the absolute slack alone governs it.
 
+   Micro rows that run busy-window analysis also carry the run's
+   fixed-point iteration count (busy_window_iterations).  It is exact and
+   machine-independent, so it is gated with no slack at all: any increase
+   over the baseline fails, and so does a baseline count the current row
+   no longer reports.
+
    Rows present only in the baseline fail the diff (a silently dropped
    bench is a lost regression gate); rows only in the current file are
    reported as informational.
@@ -54,7 +60,7 @@ let number = function
 let string_field name doc =
   match member name doc with Some (Json.String s) -> Some s | _ -> None
 
-type row = { ns : float; words : float }
+type row = { ns : float; words : float; iterations : float option }
 
 let load path =
   let ic = open_in_bin path in
@@ -80,7 +86,9 @@ let load path =
               (string_field "name" r, number (member "ns_per_run" r),
                number (member "minor_words_per_run" r))
             with
-            | Some name, Some ns, Some words -> Some (name, { ns; words })
+            | Some name, Some ns, Some words ->
+                let iterations = number (member "busy_window_iterations" r) in
+                Some (name, { ns; words; iterations })
             | _ -> None)
           rows
       in
@@ -100,7 +108,7 @@ let load path =
                number (member "words" r))
             with
             | Some p, Some ns, Some words ->
-                Some ("profile:" ^ p, { ns; words })
+                Some ("profile:" ^ p, { ns; words; iterations = None })
             | _ -> None)
           profile_rows
       in
@@ -140,7 +148,9 @@ let load path =
                           number (member "minor_words_per_run" r) )
                       with
                       | Some name, Some ns, Some words ->
-                          Some ("fastforward:" ^ name, { ns; words })
+                          Some
+                            ( "fastforward:" ^ name,
+                              { ns; words; iterations = None } )
                       | _ -> None)
                     rows
               | _ -> []
@@ -200,13 +210,27 @@ let () =
               c.words > b.words +. !words_slack
               && c.words > b.words *. !words_ratio
             in
-            if time_bad || words_bad then incr failures;
-            Printf.printf "%-48s %12.1f %12.1f %7.2fx%s%s\n" name b.ns c.ns r
+            let iterations_bad =
+              match (b.iterations, c.iterations) with
+              | Some bi, Some ci -> ci > bi
+              | Some _, None -> true
+              | None, _ -> false
+            in
+            if time_bad || words_bad || iterations_bad then incr failures;
+            Printf.printf "%-48s %12.1f %12.1f %7.2fx%s%s%s\n" name b.ns c.ns r
               (if time_bad then "  TIME REGRESSION" else "")
               (if words_bad then
                  Printf.sprintf "  ALLOC REGRESSION (%.1f -> %.1f words)"
                    b.words c.words
-               else ""))
+               else "")
+              (match (b.iterations, c.iterations) with
+              | Some bi, Some ci when iterations_bad ->
+                  Printf.sprintf
+                    "  ITERATION REGRESSION (%.0f -> %.0f busy-window \
+                     iterations)"
+                    bi ci
+              | Some _, None -> "  ITERATION COUNT MISSING"
+              | _ -> ""))
       baseline;
     List.iter
       (fun (name, _) ->
@@ -250,8 +274,8 @@ let () =
         "fastforward:speedup" s
   | _ -> ());
   if !failures > 0 then begin
-    Printf.printf "\n%d regression(s) against %s (ratio > %.1fx or > %+.1f \
-                   minor words and > %.2fx)\n"
+    Printf.printf "\n%d regression(s) against %s (ratio > %.1fx, > %+.1f \
+                   minor words and > %.2fx, or more busy-window iterations)\n"
       !failures baseline_path !ratio !words_slack !words_ratio;
     exit 1
   end;

@@ -266,6 +266,15 @@ let micro_bodies () : (string * (unit -> unit)) list =
              (BW.response_time ~wcet:(Cycles.of_us 50)
                 ~delta:(AC.delta_min curve) ~interference ()))
   in
+  (* The worst realistic input for the same fixed points: the full static
+     analysis of the CI corpus's heaviest config (Fleet.gen_batch ~seed:42,
+     cfg-0001), whose near-critical partitions crawl towards the iteration
+     cap.  Its busy-window iteration count is gated exactly by diff.exe. *)
+  let busy_window_worst =
+    let config = Rthv_check.Fleet.gen_config ~seed:42 1 in
+    ( "busy-window worst case (fleet cfg-0001 analysis)",
+      fun () -> ignore (Rthv_check.Absint.analyze config) )
+  in
   let learner =
     ( "delta-learner observe x1000 (Alg. 1)",
       fun () ->
@@ -360,6 +369,7 @@ let micro_bodies () : (string * (unit -> unit)) list =
     event_queue;
     event_queue_steady;
     busy_window;
+    busy_window_worst;
     learner;
     sim_throughput;
     sim_15k;
@@ -393,6 +403,27 @@ let direct_minor_words () =
       ("rthv " ^ name, (after -. before) /. float_of_int runs))
     (micro_bodies ())
 
+(* Busy-window fixed-point iterations of one run, read through a counting
+   sink: deterministic, so diff.exe gates them exactly.  Rows that run no
+   busy-window analysis (or install a sink of their own) count none and
+   carry no iteration field. *)
+let busy_window_iterations () =
+  List.filter_map
+    (fun (name, fn) ->
+      let iterations = ref 0. in
+      let counting =
+        {
+          Rthv_obs.Sink.noop with
+          Rthv_obs.Sink.gauge =
+            (fun metric _ v ->
+              if String.equal metric "rthv_busy_window_iterations" then
+                iterations := !iterations +. v);
+        }
+      in
+      Rthv_obs.Sink.with_sink counting fn;
+      if !iterations > 0. then Some ("rthv " ^ name, !iterations) else None)
+    (micro_bodies ())
+
 let micro () =
   banner "Bechamel micro-benchmarks";
   let open Bechamel in
@@ -409,6 +440,7 @@ let micro () =
   in
   let times = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   let allocs = direct_minor_words () in
+  let iterations = busy_window_iterations () in
   let estimate tbl name =
     match Hashtbl.find_opt tbl name with
     | None -> None
@@ -424,14 +456,24 @@ let micro () =
       match (estimate times name, List.assoc_opt name allocs) with
       | Some ns, words ->
           let words = Option.value words ~default:Float.nan in
-          Format.fprintf ppf "  %-48s %12.1f  %15.1f@." name ns words;
+          let counted =
+            match List.assoc_opt name iterations with
+            | Some n ->
+                Format.fprintf ppf "  %-48s %12.1f  %15.1f  %.0f iterations@."
+                  name ns words n;
+                [ ("busy_window_iterations", Json.Float n) ]
+            | None ->
+                Format.fprintf ppf "  %-48s %12.1f  %15.1f@." name ns words;
+                []
+          in
           json_micro :=
             Json.Obj
-              [
-                ("name", Json.String name);
-                ("ns_per_run", Json.Float ns);
-                ("minor_words_per_run", Json.Float words);
-              ]
+              ([
+                 ("name", Json.String name);
+                 ("ns_per_run", Json.Float ns);
+                 ("minor_words_per_run", Json.Float words);
+               ]
+              @ counted)
             :: !json_micro
       | None, _ -> Format.fprintf ppf "  %-48s (no estimate)@." name)
     (List.sort compare rows);

@@ -30,13 +30,17 @@ let max_iterations = 100_000
    (the per-call cost is gated to the word by the bench diff). *)
 type fix_stats = { mutable fs_steps : int; mutable fs_residual : int }
 
-let run_fixed_point stats ~q ~wcet ~interference =
+(* Iterate [w := q*wcet + interference w] from [start], which the caller
+   guarantees is at least [q*wcet].  [fs_residual] is written on every exit,
+   Diverged included, so the gauge never reports a previous run's value. *)
+let run_fixed_point stats ~q ~wcet ~interference ~start =
   if q < 1 then invalid_arg "Busy_window.fixed_point: q < 1";
   if wcet < 0 then invalid_arg "Busy_window.fixed_point: negative wcet";
   let base = q * wcet in
   let rec iterate steps w =
     if w > ceiling || steps > max_iterations then begin
       stats.fs_steps <- steps;
+      stats.fs_residual <- 0;
       Diverged
     end
     else begin
@@ -57,27 +61,45 @@ let run_fixed_point stats ~q ~wcet ~interference =
       else iterate (steps + 1) w'
     end
   in
-  iterate 0 base
+  iterate 0 start
 
 let fixed_point ?steps ?residual ~q ~wcet ~interference () =
   let stats = { fs_steps = 0; fs_residual = 0 } in
-  let outcome = run_fixed_point stats ~q ~wcet ~interference in
+  let outcome =
+    run_fixed_point stats ~q ~wcet ~interference ~start:(q * wcet)
+  in
   (match steps with Some r -> r := stats.fs_steps | None -> ());
   (match residual with Some r -> r := stats.fs_residual | None -> ());
   outcome
+
+(* W(q), warm-started from [W(q-1) + wcet] ([prev] = 0 for q = 1); see
+   response_time in the interface for why this reaches the cold start's
+   least fixed point.  A shrinking step cannot happen from that start under
+   a monotone interference function, so when it does the q is redone cold;
+   [fs_steps] then counts both runs. *)
+let warm_fixed_point stats ~q ~wcet ~interference ~prev =
+  let base = q * wcet in
+  let start = Stdlib.max base (Cycles.( + ) prev wcet) in
+  match run_fixed_point stats ~q ~wcet ~interference ~start with
+  | Converged _ when stats.fs_residual > 0 && start > base ->
+      let warm_steps = stats.fs_steps in
+      let outcome = run_fixed_point stats ~q ~wcet ~interference ~start:base in
+      stats.fs_steps <- warm_steps + stats.fs_steps;
+      outcome
+  | outcome -> outcome
 
 let response_time ~wcet ~delta ~interference ?(max_q = 4096) () =
   let prof = Prof.installed () in
   Prof.enter prof ph_busy_window;
   let total_steps = ref 0 in
   let stats = { fs_steps = 0; fs_residual = 0 } in
-  let rec explore q acc =
+  let rec explore q prev acc =
     if q > max_q then
       Error
         (Printf.sprintf
            "busy period still open after %d activations (overload?)" max_q)
     else begin
-      let outcome = run_fixed_point stats ~q ~wcet ~interference in
+      let outcome = warm_fixed_point stats ~q ~wcet ~interference ~prev in
       total_steps := !total_steps + stats.fs_steps;
       match outcome with
       | Diverged -> Error "busy window diverged: resource overloaded"
@@ -85,12 +107,12 @@ let response_time ~wcet ~delta ~interference ?(max_q = 4096) () =
           let acc = (q, w) :: acc in
           (* Equation (4): the (q+1)-th activation belongs to the same busy
              period iff it arrives no later than the q-event busy time. *)
-          if delta (q + 1) <= w then explore (q + 1) acc
+          if delta (q + 1) <= w then explore (q + 1) w acc
           else Ok (List.rev acc)
     end
   in
   let result =
-    match explore 1 [] with
+    match explore 1 0 [] with
     | Error _ as e -> e
     | Ok busy_windows ->
         let response_time, critical_q =

@@ -58,18 +58,19 @@ let eta_plus t dt =
     if t.entries.(l - 1) = 0 then
       failwith "Distance_fn.eta_plus: degenerate function admits unbounded load";
     (* delta is non-decreasing and unbounded here; find max q with
-       delta q < dt by doubling then binary search. *)
-    let rec find_hi hi = if delta t hi >= dt then hi else find_hi (hi * 2) in
-    let hi = find_hi 2 in
+       delta q < dt by doubling then binary search.  Plain loops over refs
+       the compiler keeps in registers: no closure per call. *)
+    let hi = ref 2 in
+    while delta t !hi < dt do
+      hi := !hi * 2
+    done;
     (* Invariant: delta lo < dt <= delta hi. *)
-    let rec bisect lo hi =
-      if hi - lo <= 1 then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if delta t mid < dt then bisect mid hi else bisect lo mid
-      end
-    in
-    bisect 1 hi
+    let lo = ref 1 in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if delta t mid < dt then lo := mid else hi := mid
+    done;
+    !lo
   end
 
 let conforms t timestamps =

@@ -23,14 +23,21 @@ let utilisation tasks =
 
 let ceil_div a b = (a + b - 1) / b
 
+(* Demand of the higher-priority tasks in a window [dt].  A direct recursion
+   rather than a fold: the fold's step function would capture [dt] and
+   allocate a closure on every interference evaluation. *)
+let rec hp_demand_from acc higher_priority dt =
+  match higher_priority with
+  | [] -> acc
+  | hp :: rest ->
+      hp_demand_from
+        (Cycles.( + ) acc (Cycles.( * ) hp.wcet (ceil_div dt hp.period)))
+        rest dt
+
 let response_time ~tdma ?(interference = Independence.isolated) ?(blocking = 0)
     ~task ~higher_priority () =
   let hp_demand dt =
-    List.fold_left
-      (fun acc hp ->
-        if dt <= 0 then acc
-        else Cycles.( + ) acc (Cycles.( * ) hp.wcet (ceil_div dt hp.period)))
-      0 higher_priority
+    if dt <= 0 then 0 else hp_demand_from 0 higher_priority dt
   in
   let total_interference dt =
     Cycles.( + )

@@ -27,8 +27,14 @@ let budget_bound ~per_cycle ~cycle ~c_bh_eff dt =
        so the admitted count is affine in dt like the token bucket's. *)
     Cycles.( * ) c_bh_eff (Cycles.( * ) per_cycle (((dt - 1) / cycle) + 2))
 
-let sum curves dt =
-  List.fold_left (fun acc curve -> Cycles.( + ) acc (curve dt)) 0 curves
+(* A direct recursion rather than a fold: the fold's step function would
+   capture [dt] and allocate a closure on every interference evaluation. *)
+let rec sum_from acc curves dt =
+  match curves with
+  | [] -> acc
+  | curve :: rest -> sum_from (Cycles.( + ) acc (curve dt)) rest dt
+
+let sum curves dt = sum_from 0 curves dt
 
 let is_sufficient ~interference ~budget ~windows =
   List.for_all (fun dt -> interference dt <= budget dt) windows

@@ -24,13 +24,19 @@ let effective_bh costs source =
 let effective_th costs source = Cycles.( + ) source.c_th costs.c_mon
 
 (* Sum of interfering top handlers: the third term of equation (11) /
-   equation (16). *)
+   equation (16).  A direct recursion rather than a fold: the fold's step
+   function would capture [dt] and allocate a closure per evaluation. *)
+let rec foreign_top_handlers_from acc interferers dt =
+  match interferers with
+  | [] -> acc
+  | source :: rest ->
+      foreign_top_handlers_from
+        (Cycles.( + ) acc
+           (Cycles.( * ) source.c_th (Arrival_curve.eta_plus source.arrival dt)))
+        rest dt
+
 let foreign_top_handlers interferers dt =
-  List.fold_left
-    (fun acc source ->
-      Cycles.( + ) acc
-        (Cycles.( * ) source.c_th (Arrival_curve.eta_plus source.arrival dt)))
-    0 interferers
+  foreign_top_handlers_from 0 interferers dt
 
 (* Self top handlers beyond the q accounted activations fold into
    eta_self(W) * c_th (equations (10) + (6) combined into (11)). *)

@@ -58,6 +58,41 @@ let test_fleet_recheck () =
             (String.concat " | " msgs))
     (Fleet.gen_batch ~seed:42 ~count:4)
 
+(* The CI fleet corpus: its certificates pinned byte for byte, and the
+   total busy-window fixed-point work of certifying it, read through a
+   counting sink, bounded (the warm start needs 2.06M iterations; the cold
+   start needed 37.2M and produced the same certificates). *)
+let test_fleet_corpus_pinned () =
+  let iterations = ref 0. in
+  let counting =
+    {
+      Rthv_obs.Sink.noop with
+      Rthv_obs.Sink.gauge =
+        (fun name _ v ->
+          if String.equal name "rthv_busy_window_iterations" then
+            iterations := !iterations +. v);
+    }
+  in
+  let certs =
+    Rthv_obs.Sink.with_sink counting (fun () ->
+        List.map
+          (fun (name, config) ->
+            (name, Certify.build_string ~scenario:name config))
+          (Fleet.gen_batch ~seed:42 ~count:12))
+  in
+  let digest =
+    String.concat "\n"
+      (List.map
+         (fun (name, r) ->
+           name ^ "\t" ^ match r with Ok c -> c | Error e -> "error: " ^ e)
+         certs)
+    |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string)
+    "certificate digest" "eba118731f24a18c06756b60c226001a" digest;
+  if !iterations > 2_100_000. then
+    Alcotest.failf "busy-window iterations %.0f > 2.1M" !iterations
+
 let test_recheck_rejects_garbage () =
   List.iter
     (fun s ->
@@ -130,6 +165,8 @@ let suite =
     Alcotest.test_case "scenario artifacts recheck, tamper detected" `Slow
       test_scenarios_recheck;
     Alcotest.test_case "fleet artifacts recheck" `Slow test_fleet_recheck;
+    Alcotest.test_case "CI corpus certificates and busy-window work pinned"
+      `Slow test_fleet_corpus_pinned;
     Alcotest.test_case "recheck rejects garbage" `Quick
       test_recheck_rejects_garbage;
     Alcotest.test_case "certify_batch job-invariant" `Slow
