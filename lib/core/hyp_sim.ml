@@ -1,20 +1,18 @@
 (* Façade over the policy-core layers: construction ({!Admission},
    {!Slot_plan}, {!Boundary_policy} instances from a {!Config}), the
-   event-compressed stepping engines, and the public read API.  Routing
-   decisions live in {!Sim_route}, boundary handling in {!Sim_boundary},
-   state and accounting in {!Sim_state}, statistics in {!Sim_stats}.
+   stepping loop, and the public read API.  Routing decisions live in
+   {!Sim_route}, boundary handling in {!Sim_boundary}, state and accounting
+   in {!Sim_state}, statistics in {!Sim_stats}.
 
-   Two engines share every decision helper and therefore every observable
-   (trace records, statistics, telemetry): the reference [Step] engine
-   re-resolves the execution context (hypervisor ring / interposition /
-   slot owner) on every segment, while the default [Fast_forward] engine
-   drains hypervisor bursts inline and keeps the per-segment machinery out
-   of the loop.  Both jump segment-to-segment over the packed
-   {!Rthv_engine.Event_arena}; neither allocates on the per-IRQ path. *)
+   The loop resolves the execution context (hypervisor ring /
+   interposition / slot owner) once per segment and jumps segment to
+   segment over the packed {!Rthv_engine.Event_arena}: a segment ends at the
+   running work's completion or the next queued event, whichever comes
+   first, so nothing observable is skipped.  The per-IRQ path allocates
+   nothing. *)
 
 module Cycles = Rthv_engine.Cycles
 module Event_arena = Rthv_engine.Event_arena
-module Fast_forward = Rthv_engine.Fast_forward
 module Guest = Rthv_rtos.Guest
 module Ipc = Rthv_rtos.Ipc
 module Irq_queue = Rthv_rtos.Irq_queue
@@ -39,6 +37,7 @@ type stats = Sim_stats.t = {
   admissions : int;
   denials : int;
   coalesced_irqs : int;
+  unfinished_irqs : int;
   stolen_total : Cycles.t array;
   stolen_slot_max : Cycles.t array;
   sim_time : Cycles.t;
@@ -55,7 +54,7 @@ let audit_trace_capacity = 1 lsl 20
 let set_audit_hook hook = audit_hook := hook
 let audit_hook_installed () = Option.is_some !audit_hook
 
-let create ?trace ?(policies = []) ?mode ?(retain = true) config =
+let create ?trace ?(policies = []) ?(retain = true) config =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Hyp_sim.create: " ^ msg));
@@ -68,7 +67,6 @@ let create ?trace ?(policies = []) ?mode ?(retain = true) config =
              config.Config.sources)
       then invalid_arg ("Hyp_sim.create: policy for unknown source " ^ name))
     policies;
-  let mode = match mode with Some m -> m | None -> Fast_forward.default () in
   let platform = config.Config.platform in
   let plan = Config.slot_plan config in
   let tdma = Slot_plan.tdma plan in
@@ -128,7 +126,6 @@ let create ?trace ?(policies = []) ?mode ?(retain = true) config =
     {
       platform;
       config;
-      mode;
       boundary = config.Config.boundary;
       trace;
       prof = Rthv_obs.Prof.disabled;
@@ -263,9 +260,8 @@ let hyp_item_step t =
   end;
   drain t
 
-(* The three-way context resolution the reference engine performs per
-   segment: hypervisor ring first, then a live interposition, then the
-   slot owner. *)
+(* The three-way context resolution performed per segment: hypervisor
+   ring first, then a live interposition, then the slot owner. *)
 let rec step t =
   if t.hq_len > 0 then hyp_item_step t
   else if t.ip_target >= 0 then interp_step t
@@ -363,26 +359,6 @@ let quiescent t =
 
 let default_horizon = Cycles.of_ms 3_600_000 (* one simulated hour *)
 
-(* Reference engine: one full context resolution per segment. *)
-let run_step t horizon =
-  while (not (quiescent t)) && t.now < horizon do
-    step t
-  done
-
-(* Fast-forward engine: identical observable behaviour (same helpers, same
-   event order), but hypervisor bursts drain inline — nothing can preempt
-   hypervisor-context work, so while the ring is non-empty the next runner
-   is already known and the outer quiescence/context checks are skipped. *)
-let run_fast t horizon =
-  while (not (quiescent t)) && t.now < horizon do
-    if t.hq_len > 0 then
-      while t.hq_len > 0 && t.now < horizon do
-        hyp_item_step t
-      done
-    else if t.ip_target >= 0 then interp_step t
-    else partition_step t
-  done
-
 let run ?(horizon = default_horizon) t =
   if not t.finished then begin
     (* Hoist the profiler lookup out of the step loop: every phase site
@@ -393,9 +369,9 @@ let run ?(horizon = default_horizon) t =
     | None -> ());
     (try
        Prof.span t.prof ph_run (fun () ->
-           match t.mode with
-           | Fast_forward.Step -> run_step t horizon
-           | Fast_forward.Fast_forward -> run_fast t horizon)
+           while (not (quiescent t)) && t.now < horizon do
+             step t
+           done)
      with e ->
        let bt = Printexc.get_raw_backtrace () in
        ignore
@@ -419,7 +395,6 @@ let records t =
 
 let stats t = Sim_stats.assemble t
 
-let mode t = t.mode
 let guest t i = t.guests.(i)
 let ipc t = t.ipc
 let port t name = Ipc.find t.ipc name

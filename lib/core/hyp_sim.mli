@@ -28,7 +28,7 @@
       {!Boundary_policy.Strict_cut} it is cut, keeps its remaining work at
       the queue head and resumes in its partition's next slot.
 
-    Internally this module is only the stepping engine and a façade: routing
+    Internally this module is only the stepping loop and a façade: routing
     decisions live in {!Sim_route}, boundary handling in {!Sim_boundary},
     runtime state in {!Sim_state}, statistics assembly in {!Sim_stats}.  The
     policy questions — admit this interposition?  what are the slot lengths?
@@ -58,6 +58,10 @@ type stats = Sim_stats.t = {
   admissions : int;
   denials : int;
   coalesced_irqs : int;  (** IRQs lost to an already-pending line. *)
+  unfinished_irqs : int;
+      (** IRQs delivered whose bottom handler had not completed when {!run}
+          stopped (at its horizon); [0] after a run to quiescence.  They
+          appear in neither [completed_irqs] nor {!records}. *)
   stolen_total : Rthv_engine.Cycles.t array;
       (** Per partition: total foreign interposition time consumed during
           its slots (the interference I_p of equation (2)). *)
@@ -70,7 +74,6 @@ type stats = Sim_stats.t = {
 val create :
   ?trace:Hyp_trace.t ->
   ?policies:(string * Admission.t) list ->
-  ?mode:Rthv_engine.Fast_forward.mode ->
   ?retain:bool ->
   Config.t ->
   t
@@ -90,22 +93,12 @@ val create :
     not be audited against shaping-derived rules unless the override is at
     least as strict as the declared shaping.
 
-    [?mode] selects the stepping engine (see {!Rthv_engine.Fast_forward}):
-    the reference [Step] engine or the default [Fast_forward] engine.  Both
-    produce byte-identical traces, records, statistics and telemetry — the
-    golden and differential test suites enforce it; the default is
-    {!Rthv_engine.Fast_forward.default}, which honours the [RTHV_SIM_MODE]
-    environment variable.
-
     [?retain] (default [true]): when [false], per-IRQ completion records
     (and the guests' completion lists) are not accumulated — streaming runs
     over millions of IRQs keep O(1) memory.  {!records} then returns [[]];
     {!stats} is unaffected (completion counts are maintained separately).
     @raise Invalid_argument if [Config.validate] fails or a policy names an
     unknown source. *)
-
-val mode : t -> Rthv_engine.Fast_forward.mode
-(** The stepping engine this simulation was created with. *)
 
 val set_audit_hook : (Config.t -> Hyp_trace.t -> unit) option -> unit
 (** Install (or clear) the global post-run audit hook.  While installed,
@@ -123,7 +116,10 @@ val audit_trace_capacity : int
 val run : ?horizon:Rthv_engine.Cycles.t -> t -> unit
 (** Run until every generated IRQ has completed its bottom handler (and all
     interarrival arrays are exhausted), or until [horizon] (default: one
-    simulated hour).  Idempotent once finished. *)
+    simulated hour).  The horizon is checked between segments, so the
+    final clock may pass it by the length of the last segment.  IRQs still
+    in flight when the run stops are counted in [unfinished_irqs].
+    Idempotent once finished. *)
 
 val records : t -> Irq_record.t list
 (** Completed IRQ records, in arrival order. *)

@@ -12,7 +12,6 @@
 
 module Cycles = Rthv_engine.Cycles
 module Event_arena = Rthv_engine.Event_arena
-module Fast_forward = Rthv_engine.Fast_forward
 module Guest = Rthv_rtos.Guest
 module Ipc = Rthv_rtos.Ipc
 module Irq_queue = Rthv_rtos.Irq_queue
@@ -97,7 +96,6 @@ let dummy_pending =
 type t = {
   platform : Platform.t;
   config : Config.t;
-  mode : Fast_forward.mode;
   boundary : Boundary_policy.t;
   trace : Hyp_trace.t option;
   mutable prof : Rthv_obs.Prof.t;

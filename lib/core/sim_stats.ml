@@ -17,6 +17,7 @@ type t = {
   admissions : int;
   denials : int;
   coalesced_irqs : int;
+  unfinished_irqs : int;
   stolen_total : Cycles.t array;
   stolen_slot_max : Cycles.t array;
   sim_time : Cycles.t;
@@ -43,6 +44,7 @@ let assemble (s : Sim_state.t) =
     admissions = s.Sim_state.admissions;
     denials = s.Sim_state.denials;
     coalesced_irqs = (Intc.stats s.Sim_state.intc).Intc.coalesced;
+    unfinished_irqs = s.Sim_state.live_irqs;
     stolen_total = Array.copy s.Sim_state.stolen_total;
     stolen_slot_max = Array.copy s.Sim_state.stolen_slot_max;
     sim_time = s.Sim_state.now;

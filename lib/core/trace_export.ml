@@ -63,7 +63,7 @@ let reason_name = function
   | `Budget_exhausted -> "budget-exhausted"
   | `Queue_empty -> "queue-empty"
 
-let chrome_json ?(metadata = []) ?partition_names trace =
+let chrome_json ?partition_names trace =
   let entries = Hyp_trace.to_list trace in
   let events = ref [] in
   let emit e = events := e :: !events in
@@ -216,22 +216,20 @@ let chrome_json ?(metadata = []) ?partition_names trace =
   close_interp ~reason:"trace-end" !last_time;
   close_slot !last_time;
   Json.Obj
-    ([
-       ("traceEvents", Json.List (List.rev !events));
-       ("displayTimeUnit", Json.String "ns");
-     ]
-    @
-    match metadata with [] -> [] | m -> [ ("metadata", Json.Obj m) ])
+    [
+      ("traceEvents", Json.List (List.rev !events));
+      ("displayTimeUnit", Json.String "ns");
+    ]
 
-let chrome_string ?metadata ?partition_names trace =
-  Json.to_string (chrome_json ?metadata ?partition_names trace)
+let chrome_string ?partition_names trace =
+  Json.to_string (chrome_json ?partition_names trace)
 
-let save_chrome ?metadata ?partition_names ~path trace =
+let save_chrome ?partition_names ~path trace =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (chrome_string ?metadata ?partition_names trace);
+      output_string oc (chrome_string ?partition_names trace);
       output_char oc '\n')
 
 (* --- JSONL --------------------------------------------------------------- *)

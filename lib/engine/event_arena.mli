@@ -1,9 +1,9 @@
 (** Allocation-free priority queue of timed events with int payloads.
 
-    The packed variant of {!Event_queue} used by the simulation hot path: a
-    binary min-heap keyed by [(time, sequence)] whose entries live in three
-    preallocated parallel [int] arrays (time, insertion sequence, payload)
-    instead of boxed records.  Push, peek and drop allocate nothing once the
+    The simulation's event queue: a binary min-heap keyed by
+    [(time, sequence)] whose entries live in three preallocated parallel
+    [int] arrays (time, insertion sequence, payload) instead of boxed
+    records.  Push, peek and drop allocate nothing once the
     arena has grown to its working size, so a simulation reusing one arena
     across millions of events never touches the minor heap for event
     scheduling.
@@ -12,9 +12,9 @@
     hypervisor simulation packs its [Boundary]/[Arrival of source] event
     type as [-1] / the source index).
 
-    Ordering matches {!Event_queue}: events at the same instant are
-    delivered in insertion order — the property the simulation relies on
-    when a slot boundary and an IRQ coincide. *)
+    Events at the same instant are delivered in insertion order — the
+    property the simulation relies on when a slot boundary and an IRQ
+    coincide. *)
 
 type t
 
@@ -36,7 +36,7 @@ val push : t -> time:Cycles.t -> int -> unit
 
 val head_time : t -> Cycles.t
 (** Earliest scheduled time, or {!no_event} when empty.  O(1), no
-    allocation (unlike [Event_queue.peek_time]'s [option]). *)
+    allocation (no [option] wrapper). *)
 
 val head_payload : t -> int
 (** Payload of the earliest event.  Only meaningful when [not (is_empty

@@ -1,13 +1,10 @@
 (* The packed event arena (lib/engine/event_arena.ml) against its reference
    semantics: min-heap by (time, insertion sequence), int payloads, and —
    the property the hot path is built on — zero minor-heap allocation for
-   push/head/drop once the arena has reached its working size.  The
-   Fast_forward mode helpers ride along: string round-trips, the env
-   override, and the jump-end clipping rule. *)
+   push/head/drop once the arena has reached its working size. *)
 
 module Cycles = Rthv_engine.Cycles
 module Event_arena = Rthv_engine.Event_arena
-module Fast_forward = Rthv_engine.Fast_forward
 
 let test_empty () =
   let q = Event_arena.create () in
@@ -87,7 +84,7 @@ let test_allocation_free () =
     true
     (after -. before = 0.0)
 
-(* Differential check against the boxed Event_queue on random streams. *)
+(* Differential check against a sorted-list reference on random streams. *)
 let arena_matches_queue ops =
   let q = Event_arena.create ~capacity:1 () in
   let reference = ref [] in
@@ -121,51 +118,6 @@ let arena_matches_queue ops =
 
 let ops_gen = QCheck2.Gen.(list_size (1 -- 200) (-1 -- 500))
 
-(* --- fast-forward mode helpers ------------------------------------------- *)
-
-let test_mode_strings () =
-  let check_rt mode =
-    match Fast_forward.of_string (Fast_forward.to_string mode) with
-    | Ok m -> Alcotest.(check bool) "round trip" true (m = mode)
-    | Error e -> Alcotest.failf "round trip failed: %s" e
-  in
-  check_rt Fast_forward.Step;
-  check_rt Fast_forward.Fast_forward;
-  List.iter
-    (fun (s, expect) ->
-      match Fast_forward.of_string s with
-      | Ok m -> Alcotest.(check bool) s true (m = expect)
-      | Error e -> Alcotest.failf "%s rejected: %s" s e)
-    [
-      ("step", Fast_forward.Step);
-      ("ff", Fast_forward.Fast_forward);
-      ("fast-forward", Fast_forward.Fast_forward);
-      ("fast_forward", Fast_forward.Fast_forward);
-    ];
-  Alcotest.(check bool)
-    "garbage rejected" true
-    (Result.is_error (Fast_forward.of_string "warp9"))
-
-let test_mode_default () =
-  (* Cannot mutate the environment portably from here; just pin the
-     documented fallback when the variable is absent or already set to a
-     valid value — default () must never raise in a configured test env. *)
-  let m = Fast_forward.default () in
-  Alcotest.(check bool) "default is a mode" true
-    (m = Fast_forward.Step || m = Fast_forward.Fast_forward);
-  Alcotest.(check string) "env var name" "RTHV_SIM_MODE" Fast_forward.env_var
-
-let test_jump_end () =
-  Alcotest.(check int) "completion first" 150
-    (Fast_forward.jump_end ~now:100 ~remaining:50 ~next_event:200);
-  Alcotest.(check int) "event clips" 120
-    (Fast_forward.jump_end ~now:100 ~remaining:50 ~next_event:120);
-  Alcotest.(check int) "tie" 150
-    (Fast_forward.jump_end ~now:100 ~remaining:50 ~next_event:150);
-  Alcotest.(check int) "empty arena sentinel never clips" 150
-    (Fast_forward.jump_end ~now:100 ~remaining:50
-       ~next_event:Event_arena.no_event)
-
 let suite =
   [
     Alcotest.test_case "empty arena" `Quick test_empty;
@@ -176,7 +128,4 @@ let suite =
       test_allocation_free;
     Testutil.qtest "arena == sorted reference on random ops" ops_gen
       arena_matches_queue;
-    Alcotest.test_case "mode string round trips" `Quick test_mode_strings;
-    Alcotest.test_case "mode default and env var" `Quick test_mode_default;
-    Alcotest.test_case "jump_end clipping" `Quick test_jump_end;
   ]

@@ -1,13 +1,16 @@
-(* Golden-equivalence suite for the policy-core refactor.
+(* Golden-equivalence suite for the simulator.
 
    The goldens below were captured from the pre-refactor simulator (the
    monolithic Hyp_sim with its closed shaper dispatch) for every canonical
    scenario: full statistics, an MD5 over the serialized Irq_record stream,
-   and an MD5 over the pretty-printed hypervisor trace.  The refactored
-   policy layers (Admission / Slot_plan / Boundary_policy and the
-   Sim_route / Sim_boundary split) must reproduce them byte for byte —
+   and an MD5 over the pretty-printed hypervisor trace.  Every later change
+   to the simulator — the policy layers (Admission / Slot_plan /
+   Boundary_policy), the Sim_route / Sim_boundary split, the packed event
+   arena and the single stepping loop — must reproduce them byte for byte:
    any drift in routing order, admission counting or trace emission shows
-   up as a digest mismatch here.
+   up as a digest mismatch here.  Each scenario runs once.  Whether the
+   behaviour pinned here is the paper's is checked independently by the
+   reference stepper in test_reference_sim.ml.
 
    The property tests at the bottom pin the seams themselves: a static
    Slot_plan is observationally equal to the Tdma table it compiles to,
@@ -16,7 +19,6 @@
    monitor. *)
 
 module Cycles = Rthv_engine.Cycles
-module Fast_forward = Rthv_engine.Fast_forward
 module Config = Rthv_core.Config
 module Hyp_sim = Rthv_core.Hyp_sim
 module Hyp_trace = Rthv_core.Hyp_trace
@@ -27,10 +29,6 @@ module Admission = Rthv_core.Admission
 module Monitor = Rthv_core.Monitor
 module DF = Rthv_analysis.Distance_fn
 module Scenarios = Rthv_check.Scenarios
-module Headroom = Rthv_check.Headroom
-module Registry = Rthv_obs.Registry
-module Recorder = Rthv_obs.Recorder
-module Sink = Rthv_obs.Sink
 
 type golden = {
   g_completed : int;
@@ -74,23 +72,19 @@ let serialize_record (r : Irq_record.t) =
 
 let digest s = Digest.to_hex (Digest.string s)
 
-let run_scenario ~mode name =
+let run_scenario name =
   let config =
     match Scenarios.find name with
     | Some f -> f ()
     | None -> Alcotest.failf "unknown scenario %s" name
   in
   let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
-  let sim = Hyp_sim.create ~trace ~mode config in
+  let sim = Hyp_sim.create ~trace config in
   Hyp_sim.run sim;
   (Hyp_sim.stats sim, Hyp_sim.records sim, trace)
 
-(* Every scenario is checked against the SAME golden in BOTH engine modes:
-   the goldens were captured from the step (reference) engine, so a pass in
-   [Fast_forward] proves the compressed engine's observable behaviour —
-   stats, record stream, trace emission — is byte-identical to stepping. *)
-let check_golden ~mode name (g : golden) () =
-  let stats, records, trace = run_scenario ~mode name in
+let check_golden name (g : golden) () =
+  let stats, records, trace = run_scenario name in
   let ci = Alcotest.(check int) in
   ci "completed" g.g_completed stats.Hyp_sim.completed_irqs;
   ci "direct" g.g_direct stats.Hyp_sim.direct;
@@ -121,101 +115,6 @@ let check_golden ~mode name (g : golden) () =
   Alcotest.(check string)
     "trace digest" g.g_trace_digest
     (digest (Format.asprintf "%a" Hyp_trace.pp trace))
-
-(* --- step / fast-forward differential ------------------------------------ *)
-
-(* Randomized configurations and workloads pushed through BOTH engine modes
-   must agree on every observable: the statistics record, the serialized
-   Irq_record stream, the pretty-printed hypervisor trace, and the bound
-   headroom report computed from the emitted latency summaries.  This is the
-   property the golden rows pin for the canonical scenarios, generalized to
-   arbitrary configurations. *)
-
-type diff_case = {
-  dc_slots_us : int list;  (* per-partition slot lengths *)
-  dc_sources : (int * int * int * int * int list * bool * int) list;
-      (* subscriber, c_th_us, c_bh_us, shaping selector, interarrivals_us,
-         absolute arrivals?, d_min_us *)
-  dc_defer : bool;
-}
-
-let diff_case_gen =
-  let open QCheck2.Gen in
-  let* n_parts = 2 -- 3 in
-  let* slots = list_repeat n_parts (200 -- 1_500) in
-  let* n_sources = 1 -- 3 in
-  let* sources =
-    list_repeat n_sources
-      (let* subscriber = 0 -- (n_parts - 1) in
-       let* c_th = 2 -- 10 in
-       let* c_bh = 20 -- 80 in
-       let* shaping = 0 -- 3 in
-       let* arrivals = list_size (10 -- 60) (150 -- 4_000) in
-       let* absolute = bool in
-       let* d_min = 300 -- 2_000 in
-       return (subscriber, c_th, c_bh, shaping, arrivals, absolute, d_min))
-  in
-  let* defer = bool in
-  return { dc_slots_us = slots; dc_sources = sources; dc_defer = defer }
-
-let diff_config (c : diff_case) =
-  let partitions =
-    List.mapi
-      (fun i slot_us ->
-        Config.partition ~name:(Printf.sprintf "p%d" i) ~slot_us ())
-      c.dc_slots_us
-  in
-  let sources =
-    List.mapi
-      (fun i (subscriber, c_th_us, c_bh_us, shaping, arrivals, absolute, d_min)
-         ->
-        let shaping =
-          match shaping with
-          | 0 -> Config.No_shaping
-          | 1 -> Config.Fixed_monitor (DF.d_min (Cycles.of_us d_min))
-          | 2 ->
-              Config.Token_bucket
-                { capacity = 2; refill = Cycles.of_us d_min }
-          | _ -> Config.Budgeted { per_cycle = 2 }
-        in
-        Config.source
-          ~name:(Printf.sprintf "s%d" i)
-          ~line:i ~subscriber ~c_th_us ~c_bh_us
-          ~interarrivals:
-            (Array.of_list (List.map Cycles.of_us arrivals))
-          ~arrival_mode:(if absolute then Config.Absolute else Config.Reprogram)
-          ~shaping ())
-      c.dc_sources
-  in
-  Config.make
-    ~finish_bh_at_boundary:c.dc_defer
-    ~partitions ~sources ()
-
-(* One run of a config under the given mode, with the full observability
-   stack attached, reduced to a comparable fingerprint. *)
-let diff_run mode config =
-  let registry = Registry.create () in
-  let recorder = Recorder.create ~registry () in
-  let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
-  let sim = Hyp_sim.create ~trace ~mode config in
-  Sink.with_sink (Recorder.sink recorder) (fun () -> Hyp_sim.run sim);
-  let stats = Hyp_sim.stats sim in
-  let records =
-    digest
-      (String.concat "\n" (List.map serialize_record (Hyp_sim.records sim)))
-  in
-  let trace_digest = digest (Format.asprintf "%a" Hyp_trace.pp trace) in
-  let headroom = Headroom.verdicts config registry in
-  (stats, records, trace_digest, headroom)
-
-let prop_modes_agree case =
-  let config = diff_config case in
-  match Config.validate config with
-  | Error _ -> QCheck2.assume_fail ()
-  | Ok () ->
-      let s1, r1, t1, h1 = diff_run Fast_forward.Step config in
-      let s2, r2, t2, h2 = diff_run Fast_forward.Fast_forward config in
-      s1 = s2 && String.equal r1 r2 && String.equal t1 t2 && h1 = h2
 
 (* --- seam properties ----------------------------------------------------- *)
 
@@ -311,22 +210,13 @@ let weighted_params_gen =
 let equal_weights_gen = QCheck2.Gen.(pair (1 -- 6) (1 -- 10_000))
 
 let suite =
-  List.concat_map
+  List.map
     (fun (name, g) ->
-      [
-        Alcotest.test_case
-          (Printf.sprintf "golden: %s [step]" name)
-          `Slow
-          (check_golden ~mode:Fast_forward.Step name g);
-        Alcotest.test_case
-          (Printf.sprintf "golden: %s [ff]" name)
-          `Slow
-          (check_golden ~mode:Fast_forward.Fast_forward name g);
-      ])
+      Alcotest.test_case
+        (Printf.sprintf "golden: %s" name)
+        `Slow (check_golden name g))
     goldens
   @ [
-      Testutil.qtest ~count:60 "step == fast-forward (randomized configs)"
-        diff_case_gen prop_modes_agree;
       Testutil.qtest "static plan == Tdma" slots_gen prop_static_plan_is_tdma;
       Testutil.qtest "equal weights apportion uniformly" equal_weights_gen
         prop_equal_weights_uniform;

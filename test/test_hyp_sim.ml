@@ -455,6 +455,36 @@ let test_horizon_stops () =
   Alcotest.(check int) "nothing completed before the horizon" 0
     (Hyp_sim.stats sim).Hyp_sim.completed_irqs
 
+(* A horizon that cuts a bottom handler mid-way: the IRQs still in flight
+   are counted, not dropped.  IRQ 0 arrives at 1000us in its own slot and
+   its 50us bottom handler starts at 1005us; IRQ 1, programmed 20us after
+   IRQ 0's top handler, ends that segment at 1025us, past the 1010us
+   horizon. *)
+let test_horizon_counts_unfinished () =
+  let trace = Rthv_core.Hyp_trace.create () in
+  let sim =
+    Hyp_sim.create ~trace (config ~subscriber:0 [| us 1000; us 20; us 20 |])
+  in
+  Hyp_sim.run ~horizon:(us 1010) sim;
+  let stats = Hyp_sim.stats sim in
+  let raised =
+    List.length
+      (List.filter
+         (fun e ->
+           match e.Rthv_core.Hyp_trace.event with
+           | Rthv_core.Hyp_trace.Irq_raised _ -> true
+           | _ -> false)
+         (Rthv_core.Hyp_trace.to_list trace))
+  in
+  Alcotest.(check bool) "unfinished >= 1" true
+    (stats.Hyp_sim.unfinished_irqs >= 1);
+  Alcotest.(check int) "completed + unfinished = raised" raised
+    (stats.Hyp_sim.completed_irqs + stats.Hyp_sim.unfinished_irqs);
+  Alcotest.(check int) "two raised before the stop" 2 raised;
+  let finished = run (config ~subscriber:0 [| us 1000; us 20; us 20 |]) in
+  Alcotest.(check int) "none unfinished without a horizon" 0
+    (Hyp_sim.stats finished).Hyp_sim.unfinished_irqs
+
 let suite =
   [
     Alcotest.test_case "direct handling" `Quick test_direct_in_own_slot;
@@ -493,6 +523,8 @@ let suite =
     Alcotest.test_case "housekeeping subscriber" `Quick
       test_housekeeping_subscriber;
     Alcotest.test_case "horizon stop" `Quick test_horizon_stops;
+    Alcotest.test_case "horizon counts unfinished IRQs" `Quick
+      test_horizon_counts_unfinished;
   ]
 
 let test_no_sources_quiescent () =

@@ -8,9 +8,7 @@ let () =
     [
       ("engine.cycles", Test_cycles.suite);
       ("engine.prng", Test_prng.suite);
-      ("engine.event_queue", Test_event_queue.suite);
       ("engine.event_arena", Test_event_arena.suite);
-      ("engine.simulator", Test_simulator.suite);
       ("hw", Test_hw.suite);
       ("analysis.distance_fn", Test_distance_fn.suite);
       ("analysis.arrival_curve", Test_arrival_curve.suite);
@@ -32,6 +30,7 @@ let () =
       ("core.config", Test_config.suite);
       ("core.facade", Test_facade.suite);
       ("core.hyp_sim", Test_hyp_sim.suite);
+      ("core.reference", Test_reference_sim.suite);
       ("core.activation", Test_activation.suite);
       ("core.hyp_trace", Test_hyp_trace.suite);
       ("core.vcd_export", Test_vcd_export.suite);
@@ -55,7 +54,6 @@ let () =
       ("analysis.bound", Test_bound.suite);
       ("golden", Test_golden.suite);
       ("workload", Test_workload.suite);
-      ("workload.trace_io", Test_trace_io.suite);
       ("stats", Test_stats.suite);
       ("stats.ascii_plot", Test_ascii_plot.suite);
       ("par", Test_par.suite);
