@@ -363,6 +363,38 @@ let micro_bodies () : (string * (unit -> unit)) list =
                      Rthv_obs.Labels.empty 1
                done))
   in
+  (* The live-metrics hot path, hoisted so the rows measure the steady
+     state: P² digest updates (allocation-free) and spans of three classes
+     through a recorder whose series are resolved after the first run (the
+     words left are the boxed component values handed to the digests). *)
+  let quantile_observe =
+    let q = Rthv_obs.Quantile.create () in
+    let samples = List.init 1000 (fun i -> float_of_int (i * 7919 mod 1000)) in
+    ( "obs quantile observe x1000",
+      fun () -> List.iter (fun x -> Rthv_obs.Quantile.observe q x) samples )
+  in
+  let recorder_span =
+    let sink = Rthv_obs.Recorder.sink (Rthv_obs.Recorder.create ()) in
+    let classes = [| "direct"; "interposed"; "delayed" |] in
+    let spans =
+      List.init 1000 (fun i ->
+          let at k = float_of_int ((i * 7919 * k) mod 997) in
+          {
+            Rthv_obs.Span.sp_irq = i;
+            sp_line = 0;
+            sp_source = "bench";
+            sp_class = classes.(i mod 3);
+            sp_arrival = 0.;
+            sp_top_start = at 1;
+            sp_top_end = at 1 +. 5.;
+            sp_decision = at 1 +. 7.;
+            sp_bh_start = at 1 +. 7. +. at 3;
+            sp_completion = at 1 +. 57. +. at 3;
+          })
+    in
+    ( "recorder span x1000",
+      fun () -> List.iter sink.Rthv_obs.Sink.span spans )
+  in
   [
     monitor_check;
     monitor_admit_steady;
@@ -378,6 +410,8 @@ let micro_bodies () : (string * (unit -> unit)) list =
     sim_tracestore;
     sink_disabled;
     sink_recorder;
+    quantile_observe;
+    recorder_span;
   ]
 
 let micro_tests () =

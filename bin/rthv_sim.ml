@@ -234,6 +234,9 @@ let run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us count
   if stats.Hyp_sim.unfinished_irqs > 0 then
     Format.printf "unfinished: %d IRQs still in flight at the horizon@."
       stats.Hyp_sim.unfinished_irqs;
+  if stats.Hyp_sim.unraised_arrivals > 0 then
+    Format.printf "unraised: %d arrivals past the horizon@."
+      stats.Hyp_sim.unraised_arrivals;
   Format.printf
     "latency: avg %.1fus, p50 %.1fus, p95 %.1fus, p99 %.1fus, worst %.1fus@."
     s.Summary.mean s.Summary.p50 s.Summary.p95 s.Summary.p99 s.Summary.max;

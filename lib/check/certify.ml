@@ -393,18 +393,15 @@ let recheck json =
         ds
   in
   (* Interval and verdict consistency, without re-running the analysis. *)
+  let invalid = List.exists (fun d -> str "code" d = Some "RTHV001") diags in
   (match get "analysis" json with
   | None -> fail ctx "missing analysis"
   | Some J.Null ->
       (* Only an invalid configuration certifies without analysis. *)
-      if
-        not
-          (List.exists
-             (fun d -> str "code" d = Some "RTHV001")
-             diags)
-      then fail ctx "analysis is null but RTHV001 was not reported"
+      if not invalid then fail ctx "analysis is null but RTHV001 was not reported"
   | Some a -> check_analysis ctx a);
-  (* Every channelled Error must carry a confirmed witness, and vice versa. *)
+  (* Every channelled Error must carry a confirmed witness, and vice versa;
+     an invalid configuration has nothing to replay. *)
   let witnesses =
     match arr "witnesses" json with
     | None ->
@@ -417,7 +414,7 @@ let recheck json =
     (fun k d ->
       match (str "severity" d, str "code" d, str "loc" d) with
       | Some "error", Some code, Some loc
-        when List.mem_assoc code Witness.channels ->
+        when (not invalid) && List.mem_assoc code Witness.channels ->
           if
             not
               (List.exists

@@ -599,7 +599,7 @@ let rules =
   ]
 
 let analyze_ctx config =
-  match Config.validate config with
+  match Config.validate_structure config with
   | Error msg -> Error msg
   | Ok () ->
       let ai = Absint.analyze config in
@@ -644,4 +644,16 @@ let analyze config =
           msg;
       ]
   | Ok ctx ->
-      Diagnostic.sort (List.concat_map (fun rule -> rule ctx) all_rules)
+      (* Structurally valid but not simulable (the slot switches fill the
+         cycle): RTHV001 joins the static rules, which explain why. *)
+      let unsimulable =
+        match Config.validate config with
+        | Ok () -> []
+        | Error msg ->
+            [
+              D.error ~code:"RTHV001" ~loc:"config"
+                ~hint:"grow the slots beyond C_ctx (see RTHV002)" msg;
+            ]
+      in
+      Diagnostic.sort
+        (unsimulable @ List.concat_map (fun rule -> rule ctx) all_rules)

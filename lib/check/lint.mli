@@ -63,8 +63,11 @@
 
 val analyze : Rthv_core.Config.t -> Diagnostic.t list
 (** Run every rule; diagnostics are returned sorted most severe first.  If
-    the configuration fails [Config.validate], only [RTHV001] is reported
-    (the remaining rules assume structural validity). *)
+    the configuration fails [Config.validate_structure], only [RTHV001] is
+    reported (the remaining rules assume structural validity).  A
+    structurally valid configuration that still fails [Config.validate]
+    (its slot switches fill the TDMA cycle) gets [RTHV001] next to the
+    static rules, [RTHV002] among them. *)
 
 val rules : (string * string) list
 (** [(code, one-line description)] for every static rule, in code order. *)

@@ -4,7 +4,8 @@
    first sample and cached in a hashtable, so the steady-state cost of a
    sample is a hash lookup plus a few float compares and ref updates —
    cheap enough to sit inside a live simulation's sink or a million-event
-   store scan. *)
+   store scan.  The sink skips even the lookup while the simulator keeps
+   passing the label set of the previous sample. *)
 
 module Registry = Rthv_obs.Registry
 module Labels = Rthv_obs.Labels
@@ -39,6 +40,9 @@ type t = {
   bounds : Headroom.bound list;
   registry : Registry.t option;
   table : (string * string, series) Hashtbl.t;
+  (* {!sink}'s one-entry cache: the last label set it saw and its series,
+     matched by physical identity. *)
+  mutable last : (Labels.t * series) option;
 }
 
 let help =
@@ -52,7 +56,12 @@ let help =
 
 let create ?registry config =
   Option.iter (fun r -> List.iter (fun (n, d) -> Registry.set_help r n d) help) registry;
-  { bounds = Headroom.bounds config; registry; table = Hashtbl.create 16 }
+  {
+    bounds = Headroom.bounds config;
+    registry;
+    table = Hashtbl.create 16;
+    last = None;
+  }
 
 let series t ~source ~cls =
   match Hashtbl.find_opt t.table (source, cls) with
@@ -82,22 +91,23 @@ let series t ~source ~cls =
       Hashtbl.add t.table (source, cls) s;
       s
 
-let observe t ~source ~cls ~latency_us =
-  let s = series t ~source ~cls in
+let fold s latency_us =
   s.se_count <- s.se_count + 1;
-  Option.iter (fun r -> incr r) s.se_samples;
+  (match s.se_samples with Some r -> incr r | None -> ());
   if latency_us > s.se_worst_us then begin
     s.se_worst_us <- latency_us;
-    Option.iter (fun r -> r := latency_us) s.se_worst_gauge;
+    (match s.se_worst_gauge with Some r -> r := latency_us | None -> ());
     match (s.se_bound_us, s.se_burn_gauge) with
     | Some b, Some r when b > 0. -> r := latency_us /. b
     | _ -> ()
   end;
   match s.se_bound_us with
-  | Some b when latency_us > b ->
+  | Some b when latency_us > b -> (
       s.se_violations <- s.se_violations + 1;
-      Option.iter (fun r -> incr r) s.se_violations_counter
+      match s.se_violations_counter with Some r -> incr r | None -> ())
   | _ -> ()
+
+let observe t ~source ~cls ~latency_us = fold (series t ~source ~cls) latency_us
 
 let sink t =
   {
@@ -105,10 +115,16 @@ let sink t =
     observe =
       (fun name labels v ->
         if String.equal name "rthv_irq_latency_us" then
-          let l = Labels.to_list labels in
-          match (List.assoc_opt "source" l, List.assoc_opt "class" l) with
-          | Some source, Some cls -> observe t ~source ~cls ~latency_us:v
-          | _ -> ());
+          match t.last with
+          | Some (last, s) when last == labels -> fold s v
+          | _ -> (
+              let l = Labels.to_list labels in
+              match (List.assoc_opt "source" l, List.assoc_opt "class" l) with
+              | Some source, Some cls ->
+                  let s = series t ~source ~cls in
+                  t.last <- Some (labels, s);
+                  fold s v
+              | _ -> ()));
   }
 
 let burn s =

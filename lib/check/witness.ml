@@ -434,22 +434,27 @@ let demote (diag : D.t) =
 
 let certified config =
   let diags = Lint.analyze config in
-  let witnesses = ref [] in
-  let graded =
-    List.map
-      (fun (diag : D.t) ->
-        if
-          diag.D.severity <> D.Error
-          || not (List.mem_assoc diag.D.code channels)
-        then diag
-        else
-          match synthesize config diag with
-          | Some w when w.w_confirmed ->
-              witnesses := (diag, w) :: !witnesses;
-              diag
-          | Some _ | None -> demote diag)
-      diags
-  in
-  (graded, List.rev !witnesses)
+  (* A configuration that cannot be simulated has no replay to confirm or
+     refute anything with; its RTHV001 already stands. *)
+  if Result.is_error (Config.validate config) then (diags, [])
+  else begin
+    let witnesses = ref [] in
+    let graded =
+      List.map
+        (fun (diag : D.t) ->
+          if
+            diag.D.severity <> D.Error
+            || not (List.mem_assoc diag.D.code channels)
+          then diag
+          else
+            match synthesize config diag with
+            | Some w when w.w_confirmed ->
+                witnesses := (diag, w) :: !witnesses;
+                diag
+            | Some _ | None -> demote diag)
+        diags
+    in
+    (graded, List.rev !witnesses)
+  end
 
 let digest_of_arrivals = digest_of

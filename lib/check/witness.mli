@@ -102,4 +102,6 @@ val certified : Rthv_core.Config.t -> Diagnostic.t list * (Diagnostic.t * t) lis
     jointly achievable — bounds).  Every Error in the returned diagnostics
     either carries a confirmed witness in the second component or is a
     structural rule with no simulation channel (RTHV001, RTHV011), so the
-    certified verdict never cries wolf.  Diagnostic order is preserved. *)
+    certified verdict never cries wolf.  A configuration that fails
+    [Config.validate] is returned as linted, with no witnesses: nothing can
+    be replayed.  Diagnostic order is preserved. *)

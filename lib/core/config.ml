@@ -114,7 +114,7 @@ let check_bucket ~capacity ~refill =
   else if refill < 1 then Error "bucket refill must be >= 1"
   else Ok ()
 
-let validate t =
+let validate_structure t =
   let n_partitions = List.length t.partitions in
   let check_source acc source =
     match acc with
@@ -212,6 +212,28 @@ let validate t =
         match List.fold_left check_source (Ok []) t.sources with
         | Error _ as e -> e
         | Ok _ -> check_ports ())
+
+(* Every slot boundary queues one C_ctx partition switch in the hypervisor.
+   When those switches alone fill the TDMA cycle, no partition ever runs:
+   the hypervisor queue grows by [slots * C_ctx - cycle] per cycle and a
+   simulation can only stop at its horizon. *)
+let check_switch_load t =
+  let slots = effective_slots t in
+  let cycle = Array.fold_left ( + ) 0 slots in
+  let c_ctx = Rthv_hw.Platform.ctx_switch_cost t.platform in
+  let switches = Array.length slots * c_ctx in
+  if cycle <= switches then
+    Error
+      (Format.asprintf
+         "TDMA cycle %a is no longer than its %d slot switches (C_ctx = %a \
+          each): no partition ever runs"
+         Cycles.pp cycle (Array.length slots) Cycles.pp c_ctx)
+  else Ok ()
+
+let validate t =
+  match validate_structure t with
+  | Error _ as e -> e
+  | Ok () -> check_switch_load t
 
 let monitoring_enabled t =
   List.exists

@@ -134,6 +134,14 @@ val finish_bh_at_boundary : t -> bool
 (** [Boundary_policy.defers t.boundary] — the legacy boolean view. *)
 
 val validate : t -> (unit, string) result
+(** {!validate_structure}, then that the configuration can be simulated:
+    the slot switches (one C_ctx per slot of {!effective_slots}) must not
+    fill the whole TDMA cycle, or no partition ever runs and the
+    hypervisor's queue of switches grows without end.  A single slot no
+    longer than C_ctx among longer ones passes (lint rule RTHV002 reports
+    it). *)
+
+val validate_structure : t -> (unit, string) result
 (** Checks subscriber indices, line uniqueness and ranges, positive WCETs,
     non-negative interarrivals, shaping parameter sanity — including that
     every monitoring condition ({!Fixed_monitor}, {!Monitor_and_bucket},

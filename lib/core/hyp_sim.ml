@@ -38,6 +38,7 @@ type stats = Sim_stats.t = {
   denials : int;
   coalesced_irqs : int;
   unfinished_irqs : int;
+  unraised_arrivals : int;
   stolen_total : Cycles.t array;
   stolen_slot_max : Cycles.t array;
   sim_time : Cycles.t;
@@ -159,6 +160,7 @@ let create ?trace ?(policies = []) ?(retain = true) config =
       stolen_in_slot = 0;
       stolen_total = Array.make n 0;
       stolen_slot_max = Array.make n 0;
+      obs_labels = lazy (obs_labels_of config);
       activation_specs;
       scheduled_arrivals = 0;
       live_irqs = 0;

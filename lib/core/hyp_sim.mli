@@ -62,6 +62,11 @@ type stats = Sim_stats.t = {
       (** IRQs delivered whose bottom handler had not completed when {!run}
           stopped (at its horizon); [0] after a run to quiescence.  They
           appear in neither [completed_irqs] nor {!records}. *)
+  unraised_arrivals : int;
+      (** Arrivals of the sources' interarrival arrays never raised because
+          {!run} stopped first: still queued as events, or not yet
+          scheduled.  [0] after a run to quiescence.  Every arrival is
+          completed, unfinished, coalesced or unraised. *)
   stolen_total : Rthv_engine.Cycles.t array;
       (** Per partition: total foreign interposition time consumed during
           its slots (the interference I_p of equation (2)). *)
@@ -118,8 +123,8 @@ val run : ?horizon:Rthv_engine.Cycles.t -> t -> unit
     interarrival arrays are exhausted), or until [horizon] (default: one
     simulated hour).  The horizon is checked between segments, so the
     final clock may pass it by the length of the last segment.  IRQs still
-    in flight when the run stops are counted in [unfinished_irqs].
-    Idempotent once finished. *)
+    in flight when the run stops are counted in [unfinished_irqs], arrivals
+    never raised in [unraised_arrivals].  Idempotent once finished. *)
 
 val records : t -> Irq_record.t list
 (** Completed IRQ records, in arrival order. *)

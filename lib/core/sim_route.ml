@@ -31,7 +31,7 @@ let record_decision t src p verdict =
            arrival = p.p_arrival;
            verdict;
          });
-  if obs_active () then obs_monitor_decision src verdict
+  if obs_active () then obs_monitor_decision t src verdict
 
 let monitor_done t src p =
   Prof.enter t.prof ph_admission;
@@ -110,7 +110,7 @@ let hyp_done t kind (p : pending_irq) =
           (Hyp_trace.Interposition_start { irq = p.p_irq; target = subscriber });
       if obs_active () then
         Sink.incr "rthv_interpositions_total"
-          (Labels.of_int "partition" subscriber)
+          (obs_labels t).by_partition.(subscriber)
           1;
       t.ip_target <- subscriber;
       t.ip_budget <- p.p_source.cfg.Config.c_bh
@@ -161,6 +161,7 @@ let handle_arrival t s_idx =
        it visible on the timeline. *)
     if tracing t then trace_event t (Hyp_trace.Irq_coalesced { line });
     if obs_active () then
-      Sink.incr "rthv_irq_coalesced_total" (Labels.of_int "line" line) 1
+      Sink.incr "rthv_irq_coalesced_total"
+        (obs_labels t).by_source.(s_idx).l_line 1
   end;
   Intc.raise_line t.intc line

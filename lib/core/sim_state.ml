@@ -17,6 +17,7 @@ module Ipc = Rthv_rtos.Ipc
 module Irq_queue = Rthv_rtos.Irq_queue
 module Platform = Rthv_hw.Platform
 module Intc = Rthv_hw.Intc
+module Labels = Rthv_obs.Labels
 
 (* External-event payload encoding for the packed arena: a slot boundary is
    [-1], an arrival is the (non-negative) source index. *)
@@ -28,6 +29,61 @@ type runtime_source = {
   admission : Admission.t;
   mutable next_arrival : int;
 }
+
+(* Every metric label set a simulation can emit, built once and then
+   passed as the same physical value on every sink call, so the sinks
+   resolve their series by identity (see DESIGN "Observability"). *)
+type source_labels = {
+  l_completed : Labels.t array;  (* {source, class, partition}, by [class_index] *)
+  l_latency : Labels.t array;  (* {source, class}, by [class_index] *)
+  l_verdict : Labels.t array;  (* {source, verdict}, by [verdict_index] *)
+  l_line : Labels.t;  (* {line} *)
+}
+
+type obs_labels = {
+  by_source : source_labels array;  (* by [s_idx] *)
+  by_partition : Labels.t array;  (* {partition} *)
+}
+
+let class_index = function
+  | Irq_record.Direct -> 0
+  | Irq_record.Interposed -> 1
+  | Irq_record.Delayed -> 2
+
+let verdict_index = function
+  | `Admitted -> 0
+  | `Denied -> 1
+  | `Fallback_direct -> 2
+
+let source_labels (cfg : Config.source) =
+  let source = cfg.Config.name in
+  let by_class extra =
+    Array.map
+      (fun c ->
+        Labels.v
+          (("source", source)
+          :: ("class", Irq_record.classification_name c)
+          :: extra))
+      [| Irq_record.Direct; Irq_record.Interposed; Irq_record.Delayed |]
+  in
+  {
+    l_completed =
+      by_class [ ("partition", string_of_int cfg.Config.subscriber) ];
+    l_latency = by_class [];
+    l_verdict =
+      Array.map
+        (fun v -> Labels.v [ ("source", source); ("verdict", v) ])
+        [| "admitted"; "denied"; "fallback_direct" |];
+    l_line = Labels.of_int "line" cfg.Config.line;
+  }
+
+let obs_labels_of (config : Config.t) =
+  {
+    by_source = Array.of_list (List.map source_labels config.Config.sources);
+    by_partition =
+      Array.init (List.length config.Config.partitions)
+        (Labels.of_int "partition");
+  }
 
 type pending_irq = {
   p_irq : int;
@@ -146,6 +202,9 @@ type t = {
   mutable stolen_in_slot : Cycles.t;
   stolen_total : Cycles.t array;
   stolen_slot_max : Cycles.t array;
+  obs_labels : obs_labels Lazy.t;
+      (* Forced by the first sink emission, so a run without a sink builds
+         no labels at all. *)
   activation_specs : Rthv_rtos.Task.spec list;
   mutable scheduled_arrivals : int;
   mutable live_irqs : int;
@@ -230,12 +289,12 @@ let tracing t = match t.trace with Some _ -> true | None -> false
 
 (* --- telemetry ----------------------------------------------------------
    Every site is guarded by [Sink.active] so the default no-op sink costs a
-   single flag read — no labels are built, no calls dispatched.  Metric
+   single flag read — no calls dispatched.  No site builds labels: each
+   passes a set from [obs_labels], built once per simulation.  Metric
    names map onto the paper's quantities: [rthv_irq_latency_us] is the
    simulated counterpart of the eq. (11)/(16) latency bounds,
    [rthv_stolen_slot_us] the per-slot interference eq. (14) budgets. *)
 module Sink = Rthv_obs.Sink
-module Labels = Rthv_obs.Labels
 module Span = Rthv_obs.Span
 module Prof = Rthv_obs.Prof
 
@@ -252,19 +311,13 @@ let ph_sink_emit = Prof.phase "sink_emit"
 
 let obs_count name = Sink.incr name Labels.empty 1
 
+let[@inline] obs_labels t = Lazy.force t.obs_labels
+
 let obs_irq_completed t p =
-  let source = p.p_source.cfg.Config.name in
-  let cls = Irq_record.classification_name p.p_class in
-  Sink.incr "rthv_irq_completed_total"
-    (Labels.v
-       [
-         ("source", source);
-         ("class", cls);
-         ("partition", string_of_int p.p_source.cfg.Config.subscriber);
-       ])
-    1;
-  Sink.observe "rthv_irq_latency_us"
-    (Labels.v [ ("source", source); ("class", cls) ])
+  let labels = (obs_labels t).by_source.(p.p_source.s_idx)
+  and c = class_index p.p_class in
+  Sink.incr "rthv_irq_completed_total" labels.l_completed.(c) 1;
+  Sink.observe "rthv_irq_latency_us" labels.l_latency.(c)
     (Cycles.to_us (Cycles.( - ) t.now p.p_arrival))
 
 (* One causal span per completed IRQ instance, timestamps in us.  The
@@ -289,17 +342,9 @@ let obs_span t p =
       sp_completion = us t.now;
     }
 
-let obs_monitor_decision src verdict =
+let obs_monitor_decision t src verdict =
   Sink.incr "rthv_monitor_decisions_total"
-    (Labels.v
-       [
-         ("source", src.cfg.Config.name);
-         ( "verdict",
-           match verdict with
-           | `Admitted -> "admitted"
-           | `Denied -> "denied"
-           | `Fallback_direct -> "fallback_direct" );
-       ])
+    (obs_labels t).by_source.(src.s_idx).l_verdict.(verdict_index verdict)
     1
 
 let steal t elapsed =
@@ -311,8 +356,7 @@ let close_slot_accounting t =
   if t.stolen_in_slot > t.stolen_slot_max.(owner) then
     t.stolen_slot_max.(owner) <- t.stolen_in_slot;
   if obs_active () then
-    Sink.observe "rthv_stolen_slot_us"
-      (Labels.of_int "partition" owner)
+    Sink.observe "rthv_stolen_slot_us" (obs_labels t).by_partition.(owner)
       (Cycles.to_us t.stolen_in_slot);
   t.stolen_in_slot <- 0
 

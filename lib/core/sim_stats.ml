@@ -18,6 +18,7 @@ type t = {
   denials : int;
   coalesced_irqs : int;
   unfinished_irqs : int;
+  unraised_arrivals : int;
   stolen_total : Cycles.t array;
   stolen_slot_max : Cycles.t array;
   sim_time : Cycles.t;
@@ -29,6 +30,16 @@ let assemble (s : Sim_state.t) =
       (fun acc (src : Sim_state.runtime_source) ->
         acc + Admission.checks src.Sim_state.admission)
       0 s.Sim_state.sources
+  in
+  (* Arrivals the run never raised: queued in the arena, or not yet
+     scheduled from a [Reprogram] source's interarrival array. *)
+  let unraised_arrivals =
+    Array.fold_left
+      (fun acc (src : Sim_state.runtime_source) ->
+        acc
+        + Array.length src.Sim_state.cfg.Config.interarrivals
+        - src.Sim_state.next_arrival)
+      s.Sim_state.scheduled_arrivals s.Sim_state.sources
   in
   {
     completed_irqs = s.Sim_state.n_completed;
@@ -45,6 +56,7 @@ let assemble (s : Sim_state.t) =
     denials = s.Sim_state.denials;
     coalesced_irqs = (Intc.stats s.Sim_state.intc).Intc.coalesced;
     unfinished_irqs = s.Sim_state.live_irqs;
+    unraised_arrivals;
     stolen_total = Array.copy s.Sim_state.stolen_total;
     stolen_slot_max = Array.copy s.Sim_state.stolen_slot_max;
     sim_time = s.Sim_state.now;

@@ -57,15 +57,12 @@ let copy h =
     h_total = h.h_total;
   }
 
-let merge a b =
-  if a.h_bounds <> b.h_bounds then
+let merge_into ~into b =
+  if into.h_bounds <> b.h_bounds then
     invalid_arg "Metric.merge: histogram bucket bounds differ";
-  {
-    h_bounds = Array.copy a.h_bounds;
-    counts = Array.map2 ( + ) a.counts b.counts;
-    h_sum = a.h_sum +. b.h_sum;
-    h_total = a.h_total + b.h_total;
-  }
+  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) b.counts;
+  into.h_sum <- into.h_sum +. b.h_sum;
+  into.h_total <- into.h_total + b.h_total
 
 type value =
   | Counter of int ref

@@ -35,9 +35,10 @@ val sum : histogram -> float
 val copy : histogram -> histogram
 (** Independent deep copy. *)
 
-val merge : histogram -> histogram -> histogram
-(** Fresh histogram with bucket counts, sum and total added (exact and
-    associative; neither input is mutated).
+val merge_into : into:histogram -> histogram -> unit
+(** [merge_into ~into b] adds [b]'s bucket counts, sum and total to [into]
+    in place (exact and associative), so a histogram handed out by
+    {!Registry} stays the live cell across a registry merge.
     @raise Invalid_argument if the bucket bounds differ. *)
 
 (** {2 The stored value} *)

@@ -25,20 +25,21 @@ let estimator p =
     count = 0;
   }
 
-let parabolic t i d =
+(* [parabolic] and [linear] are inlined into [add]: as calls, each would
+   box its float result. *)
+let[@inline] parabolic t i d =
   let q = t.q and n = t.n in
-  let fi = float_of_int in
   q.(i)
   +. d
-     /. fi (n.(i + 1) - n.(i - 1))
-     *. (((fi (n.(i) - n.(i - 1)) +. d)
+     /. float_of_int (n.(i + 1) - n.(i - 1))
+     *. (((float_of_int (n.(i) - n.(i - 1)) +. d)
           *. (q.(i + 1) -. q.(i))
-          /. fi (n.(i + 1) - n.(i)))
-        +. ((fi (n.(i + 1) - n.(i)) -. d)
+          /. float_of_int (n.(i + 1) - n.(i)))
+        +. ((float_of_int (n.(i + 1) - n.(i)) -. d)
            *. (q.(i) -. q.(i - 1))
-           /. fi (n.(i) - n.(i - 1))))
+           /. float_of_int (n.(i) - n.(i - 1))))
 
-let linear t i d =
+let[@inline] linear t i d =
   let di = int_of_float d in
   t.q.(i)
   +. d
@@ -63,8 +64,11 @@ let add t x =
         3
       end
       else begin
-        let rec find i = if x < t.q.(i + 1) then i else find (i + 1) in
-        find 0
+        let i = ref 0 in
+        while not (x < t.q.(!i + 1)) do
+          incr i
+        done;
+        !i
       end
     in
     for i = k + 1 to 4 do
@@ -111,45 +115,49 @@ let observations t = t.count
 
 (* --- digest ------------------------------------------------------------- *)
 
-type t = {
-  estimators : (float * estimator) list;  (* ascending in p *)
-  mutable d_count : int;
+(* The running moments live in an all-float record, which OCaml stores
+   flat: updating them writes floats in place instead of boxing each new
+   value, so {!observe} allocates nothing. *)
+type moments = {
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
+}
+
+type t = {
+  estimators : estimator array;  (* ascending in p *)
+  mutable d_count : int;
+  m : moments;
 }
 
 let default_quantiles = [ 0.5; 0.95; 0.99; 0.999 ]
 
 let create ?(quantiles = default_quantiles) () =
   if quantiles = [] then invalid_arg "Quantile.create: no quantiles";
-  let estimators =
-    List.map
-      (fun p -> (p, estimator p))
-      (List.sort_uniq Float.compare quantiles)
-  in
   {
-    estimators;
+    estimators =
+      Array.of_list (List.map estimator (List.sort_uniq Float.compare quantiles));
     d_count = 0;
-    sum = 0.;
-    min_v = Float.infinity;
-    max_v = Float.neg_infinity;
+    m = { sum = 0.; min_v = Float.infinity; max_v = Float.neg_infinity };
   }
 
 let observe t x =
   t.d_count <- t.d_count + 1;
-  t.sum <- t.sum +. x;
-  if x < t.min_v then t.min_v <- x;
-  if x > t.max_v then t.max_v <- x;
-  List.iter (fun (_, e) -> add e x) t.estimators
+  let m = t.m in
+  m.sum <- m.sum +. x;
+  if x < m.min_v then m.min_v <- x;
+  if x > m.max_v then m.max_v <- x;
+  for i = 0 to Array.length t.estimators - 1 do
+    add t.estimators.(i) x
+  done
 
 let count t = t.d_count
-let mean t = if t.d_count = 0 then None else Some (t.sum /. float_of_int t.d_count)
-let min_value t = if t.d_count = 0 then None else Some t.min_v
-let max_value t = if t.d_count = 0 then None else Some t.max_v
+let mean t = if t.d_count = 0 then None else Some (t.m.sum /. float_of_int t.d_count)
+let min_value t = if t.d_count = 0 then None else Some t.m.min_v
+let max_value t = if t.d_count = 0 then None else Some t.m.max_v
 
 let quantile t p =
-  match List.assoc_opt p t.estimators with
+  match Array.find_opt (fun e -> Float.equal e.p p) t.estimators with
   | None -> None
   | Some e -> estimate e
 
@@ -157,8 +165,8 @@ let quantiles t =
   if t.d_count = 0 then []
   else
     List.filter_map
-      (fun (p, e) -> Option.map (fun v -> (p, v)) (estimate e))
-      t.estimators
+      (fun e -> Option.map (fun v -> (e.p, v)) (estimate e))
+      (Array.to_list t.estimators)
 
 (* --- merge -------------------------------------------------------------- *)
 
@@ -204,32 +212,44 @@ let merge_estimator p ea eb =
 
 let copy t =
   {
-    t with
-    estimators = List.map (fun (p, e) -> (p, copy_estimator e)) t.estimators;
+    estimators = Array.map copy_estimator t.estimators;
+    d_count = t.d_count;
+    m = { sum = t.m.sum; min_v = t.m.min_v; max_v = t.m.max_v };
   }
 
 let merge a b =
-  if List.map fst a.estimators <> List.map fst b.estimators then
-    invalid_arg "Quantile.merge: tracked quantile sets differ";
+  if Array.map (fun e -> e.p) a.estimators <> Array.map (fun e -> e.p) b.estimators
+  then invalid_arg "Quantile.merge: tracked quantile sets differ";
   {
     estimators =
-      List.map2
-        (fun (p, ea) (_, eb) -> (p, merge_estimator p ea eb))
-        a.estimators b.estimators;
+      Array.map2 (fun ea eb -> merge_estimator ea.p ea eb) a.estimators
+        b.estimators;
     d_count = a.d_count + b.d_count;
-    sum = a.sum +. b.sum;
-    min_v = Float.min a.min_v b.min_v;
-    max_v = Float.max a.max_v b.max_v;
+    m =
+      {
+        sum = a.m.sum +. b.m.sum;
+        min_v = Float.min a.m.min_v b.m.min_v;
+        max_v = Float.max a.m.max_v b.m.max_v;
+      };
   }
+
+let merge_into ~into b =
+  let merged = merge into b in
+  Array.blit merged.estimators 0 into.estimators 0
+    (Array.length into.estimators);
+  into.d_count <- merged.d_count;
+  into.m.sum <- merged.m.sum;
+  into.m.min_v <- merged.m.min_v;
+  into.m.max_v <- merged.m.max_v
 
 let pp ppf t =
   if t.d_count = 0 then Format.fprintf ppf "n=0"
   else begin
     Format.fprintf ppf "n=%d mean=%.1f min=%.1f" t.d_count
       (Option.get (mean t))
-      t.min_v;
+      t.m.min_v;
     List.iter
       (fun (p, v) -> Format.fprintf ppf " p%g=%.1f" (p *. 100.) v)
       (quantiles t);
-    Format.fprintf ppf " max=%.1f" t.max_v
+    Format.fprintf ppf " max=%.1f" t.m.max_v
   end

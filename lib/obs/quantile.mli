@@ -34,6 +34,9 @@ val create : ?quantiles:float list -> unit -> t
     outside (0, 1). *)
 
 val observe : t -> float -> unit
+(** O(1) and allocation-free: the running moments and every estimator are
+    updated in place. *)
+
 val count : t -> int
 val mean : t -> float option
 val min_value : t -> float option
@@ -61,5 +64,11 @@ val merge : t -> t -> t
     yields bit-identical results — but approximate, like P² itself.
     @raise Invalid_argument if the two digests track different quantile
     sets. *)
+
+val merge_into : into:t -> t -> unit
+(** [merge_into ~into b] makes [into] the digest {!merge} [into b] would
+    return, in place, so a digest handed out by {!Registry} stays the live
+    cell after a registry merge.
+    @raise Invalid_argument as {!merge}. *)
 
 val pp : Format.formatter -> t -> unit

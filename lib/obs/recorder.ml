@@ -1,23 +1,67 @@
+(* The cells one (source, class) pair of spans updates, resolved once: the
+   spans counter and one digest per {!Span} component, in component
+   order.  [ss_source]/[ss_class] are the strings of the first span seen
+   for the pair. *)
+type span_series = {
+  ss_source : string;
+  ss_class : string;
+  ss_spans : int ref;
+  ss_components : Quantile.t array;
+}
+
+let no_series =
+  { ss_source = ""; ss_class = ""; ss_spans = ref 0; ss_components = [||] }
+
+(* Each recorder's own span-series cache, newest first.  Registry cells are
+   never replaced (see {!Registry.merge}), so the entries cannot go
+   stale. *)
+type span_cache = { mutable series : span_series list }
+
 type t = { reg : Registry.t; r_sink : Sink.t }
 
-let span_labels sp =
-  Labels.v
-    [ ("source", sp.Span.sp_source); ("class", sp.Span.sp_class) ]
+let rec find source cls = function
+  | [] -> no_series
+  | s :: rest ->
+      if String.equal s.ss_source source && String.equal s.ss_class cls then s
+      else find source cls rest
 
-let record_span reg sp =
-  Registry.incr reg ~labels:(span_labels sp) "rthv_irq_spans_total" 1;
-  List.iter
-    (fun (component, v) ->
-      Registry.observe_summary reg
-        ~labels:
-          (Labels.v
-             [
-               ("source", sp.Span.sp_source);
-               ("class", sp.Span.sp_class);
-               ("component", component);
-             ])
-        "rthv_irq_component_us" v)
-    (Span.components sp)
+(* [String.equal] answers physically equal strings without reading them,
+   and the simulator passes the same source and class strings for every
+   span of a pair. *)
+let span_series reg cache sp =
+  let source = sp.Span.sp_source and cls = sp.Span.sp_class in
+  let s = find source cls cache.series in
+  if s != no_series then s
+  else begin
+    let labels = Labels.v [ ("source", source); ("class", cls) ] in
+    let s =
+      {
+        ss_source = source;
+        ss_class = cls;
+        ss_spans = Registry.counter reg ~labels "rthv_irq_spans_total";
+        ss_components =
+          Array.init Span.n_components (fun i ->
+              Registry.summary reg
+                ~labels:
+                  (Labels.v
+                     [
+                       ("source", source);
+                       ("class", cls);
+                       ("component", Span.component_name sp i);
+                     ])
+                "rthv_irq_component_us");
+      }
+    in
+    cache.series <- s :: cache.series;
+    s
+  end
+
+let record_span reg cache sp =
+  let s = span_series reg cache sp in
+  incr s.ss_spans;
+  for i = 0 to Span.n_components - 1 do
+    Quantile.observe s.ss_components.(i) (Span.component sp i)
+  done
 
 (* HELP texts for the simulator's metric families, stamped into the
    registry at recorder creation so every Prometheus exposition of a
@@ -52,12 +96,13 @@ let create ?registry () =
     match registry with Some r -> r | None -> Registry.create ()
   in
   List.iter (fun (name, doc) -> Registry.set_help reg name doc) default_help;
+  let cache = { series = [] } in
   let r_sink =
     {
       Sink.incr = (fun name labels n -> Registry.incr reg ~labels name n);
       gauge = (fun name labels v -> Registry.set_gauge reg ~labels name v);
       observe = (fun name labels x -> Registry.observe_summary reg ~labels name x);
-      span = (fun sp -> record_span reg sp);
+      span = (fun sp -> record_span reg cache sp);
     }
   in
   { reg; r_sink }

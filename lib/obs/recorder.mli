@@ -7,7 +7,8 @@
     tracked online without sample retention.  Spans are folded into
     [rthv_irq_spans_total{source,class}] counters and one
     [rthv_irq_component_us{source,class,component}] summary per latency
-    component (see {!Span.components}). *)
+    component (see {!Span.component}).  Each recorder resolves those six
+    cells once per (source, class) and keeps them in a cache of its own. *)
 
 type t
 

@@ -1,63 +1,128 @@
 type key = { k_name : string; k_labels : Labels.t }
 
 (* [help] maps metric name (not series key: HELP is per metric family in
-   the exposition format) to its documentation string. *)
+   the exposition format) to its documentation string.
+
+   [c_name]/[c_labels]/[c_value] are a 2-way set-associative cache in front
+   of [table], hit only when both the name and the label set are the very
+   values (physical equality) a previous lookup used.  Hot callers build
+   their labels once and pass them on every update, so a hit costs one
+   string hash and two pointer compares and allocates nothing; any other
+   caller falls through to the structural table, which stays the
+   authority.  Cells are never replaced ({!merge} updates them in place),
+   so a cached entry cannot go stale. *)
 type t = {
   table : (key, Metric.value) Hashtbl.t;
   help : (string, string) Hashtbl.t;
+  c_name : string array;
+  c_labels : Labels.t array;
+  c_value : Metric.value array;
 }
 
-let create () = { table = Hashtbl.create 64; help = Hashtbl.create 16 }
+let cache_size = 256
+
+(* Fresh, so no caller can ever pass it: an empty cache slot. *)
+let no_name = String.init 1 (fun _ -> '?')
+let no_value = Metric.Counter (ref 0)
+
+let create () =
+  {
+    table = Hashtbl.create 64;
+    help = Hashtbl.create 16;
+    c_name = Array.make cache_size no_name;
+    c_labels = Array.make cache_size Labels.empty;
+    c_value = Array.make cache_size no_value;
+  }
 
 let set_help t name doc = if doc <> "" then Hashtbl.replace t.help name doc
 let help t name = Hashtbl.find_opt t.help name
 
-let get_or_register t ~labels name ~make ~select =
-  let key = { k_name = name; k_labels = labels } in
-  match Hashtbl.find_opt t.table key with
-  | Some value -> (
-      match select value with
-      | Some v -> v
+(* The cache set of a series: the name's hash plus a cheap mix of the label
+   values (their lengths and last characters), even so that [set] and
+   [set + 1] are its two ways. *)
+let rec mix_values h = function
+  | [] -> h
+  | (_, v) :: rest ->
+      let n = String.length v in
+      let last = if n = 0 then 0 else Char.code (String.unsafe_get v (n - 1)) in
+      mix_values ((h * 31) + (n * 257) + last) rest
+
+let cache_set name labels =
+  (Hashtbl.hash name + mix_values 0 (labels : Labels.t :> (string * string) list))
+  land (cache_size - 2)
+
+(* The series cell for (name, labels), registering [make ()] on first use. *)
+let series t name labels ~make =
+  let set = cache_set name labels in
+  if t.c_name.(set) == name && t.c_labels.(set) == labels then t.c_value.(set)
+  else if t.c_name.(set + 1) == name && t.c_labels.(set + 1) == labels then
+    t.c_value.(set + 1)
+  else begin
+    let key = { k_name = name; k_labels = labels } in
+    let value =
+      match Hashtbl.find_opt t.table key with
+      | Some value -> value
       | None ->
-          invalid_arg
-            (Format.asprintf "Registry: %s%a is a %s, not the requested kind"
-               name Labels.pp labels (Metric.kind_name value)))
-  | None ->
-      let value = make () in
-      Hashtbl.add t.table key value;
-      match select value with
-      | Some v -> v
-      | None -> assert false
+          let value = make () in
+          Hashtbl.add t.table key value;
+          value
+    in
+    (* Most recent first: the older way is evicted. *)
+    t.c_name.(set + 1) <- t.c_name.(set);
+    t.c_labels.(set + 1) <- t.c_labels.(set);
+    t.c_value.(set + 1) <- t.c_value.(set);
+    t.c_name.(set) <- name;
+    t.c_labels.(set) <- labels;
+    t.c_value.(set) <- value;
+    value
+  end
+
+let kind_clash name labels value =
+  invalid_arg
+    (Format.asprintf "Registry: %s%a is a %s, not the requested kind" name
+       Labels.pp labels (Metric.kind_name value))
+
+let new_counter () = Metric.Counter (ref 0)
+let new_gauge () = Metric.Gauge (ref 0.)
+let new_summary () = Metric.Summary (Quantile.create ())
 
 let counter t ?(labels = Labels.empty) name =
-  get_or_register t ~labels name
-    ~make:(fun () -> Metric.Counter (ref 0))
-    ~select:(function Metric.Counter r -> Some r | _ -> None)
+  match series t name labels ~make:new_counter with
+  | Metric.Counter r -> r
+  | v -> kind_clash name labels v
 
 let incr t ?labels name n =
   let r = counter t ?labels name in
   r := !r + n
 
 let gauge t ?(labels = Labels.empty) name =
-  get_or_register t ~labels name
-    ~make:(fun () -> Metric.Gauge (ref 0.))
-    ~select:(function Metric.Gauge r -> Some r | _ -> None)
+  match series t name labels ~make:new_gauge with
+  | Metric.Gauge r -> r
+  | v -> kind_clash name labels v
 
 let set_gauge t ?labels name v = gauge t ?labels name := v
 
 let histogram t ?(labels = Labels.empty)
     ?(bounds = Metric.default_latency_bounds) name =
-  get_or_register t ~labels name
-    ~make:(fun () -> Metric.Histogram (Metric.histogram ~bounds))
-    ~select:(function Metric.Histogram h -> Some h | _ -> None)
+  match
+    series t name labels ~make:(fun () ->
+        Metric.Histogram (Metric.histogram ~bounds))
+  with
+  | Metric.Histogram h -> h
+  | v -> kind_clash name labels v
 
 let observe t ?labels ?bounds name x =
   Metric.observe (histogram t ?labels ?bounds name) x
 
 let summary t ?(labels = Labels.empty) ?quantiles name =
-  get_or_register t ~labels name
-    ~make:(fun () -> Metric.Summary (Quantile.create ?quantiles ()))
-    ~select:(function Metric.Summary q -> Some q | _ -> None)
+  let make =
+    match quantiles with
+    | None -> new_summary
+    | Some quantiles -> fun () -> Metric.Summary (Quantile.create ~quantiles ())
+  in
+  match series t name labels ~make with
+  | Metric.Summary q -> q
+  | v -> kind_clash name labels v
 
 let observe_summary t ?labels name x =
   Quantile.observe (summary t ?labels name) x
@@ -82,8 +147,10 @@ let cardinality t = Hashtbl.length t.table
 (* Deterministic fold of [src] into [into]: counters and histogram bins
    add, gauges take the source's value (so folding per-task registries in
    input order leaves the last writer by task index), summaries merge via
-   {!Quantile.merge}.  Iterating the sorted snapshot — not the hash table —
-   keeps the result independent of insertion order on the source side. *)
+   {!Quantile.merge}.  Every existing cell of [into] is updated in place,
+   so cells handed out earlier (and the identity cache) stay live.
+   Iterating the sorted snapshot — not the hash table — keeps the result
+   independent of insertion order on the source side. *)
 let merge ~into src =
   Hashtbl.iter
     (fun name doc ->
@@ -98,12 +165,8 @@ let merge ~into src =
           match (existing, value) with
           | Metric.Counter d, Metric.Counter s -> d := !d + !s
           | Metric.Gauge d, Metric.Gauge s -> d := !s
-          | Metric.Histogram d, Metric.Histogram s ->
-              Hashtbl.replace into.table key
-                (Metric.Histogram (Metric.merge d s))
-          | Metric.Summary d, Metric.Summary s ->
-              Hashtbl.replace into.table key
-                (Metric.Summary (Quantile.merge d s))
+          | Metric.Histogram d, Metric.Histogram s -> Metric.merge_into ~into:d s
+          | Metric.Summary d, Metric.Summary s -> Quantile.merge_into ~into:d s
           | d, s ->
               invalid_arg
                 (Format.asprintf

@@ -5,7 +5,14 @@
     same (name, labels) series again returns the existing instance — and a
     kind clash raises.  Snapshots and the text / JSON / Prometheus
     exposition renderings read the live values without stopping the
-    writers. *)
+    writers.
+
+    A lookup whose name and label set are physically the values of an
+    earlier lookup is answered from a small cache without hashing the
+    labels or allocating; any other lookup goes through the structural
+    table.  Hot callers should therefore build their label sets once.  A
+    cell, once registered, stays the series' cell for the registry's
+    lifetime ({!merge} updates it in place). *)
 
 type t
 
@@ -53,7 +60,8 @@ val cardinality : t -> int
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds every series of [src] into [into] (leaving
-    [src] untouched): counters add, gauges take the source value
+    [src] untouched), updating the existing cells of [into] in place:
+    counters add, gauges take the source value
     (last-writer when folding in order), histogram bins add (bounds must
     match), summaries merge deterministically via {!Quantile.merge}.
     Series missing from [into] are deep-copied in, and help texts missing

@@ -3,12 +3,15 @@
     Simulator and engine hot paths report through this interface instead of
     touching a registry directly.  The default sink is a no-op and the
     installed-sink check is a single domain-local read, so instrumentation
-    sites guard with {!active} and pay nothing (no label allocation, no
-    calls) when telemetry is disabled:
+    sites guard with {!active} and pay nothing (no calls) when telemetry
+    is disabled.  Hot sites build their label sets once and pass the same
+    value on every call, which lets {!Registry} resolve the series by
+    identity:
 
     {[
-      if Sink.active () then
-        Sink.observe "rthv_irq_latency_us" (Labels.v [ ("source", name) ]) us
+      let labels = Labels.v [ ("source", name) ] (* once *)
+      ...
+      if Sink.active () then Sink.observe "rthv_irq_latency_us" labels us
     ]}
 
     The installed sink is {b domain-local}: {!install} from a worker domain

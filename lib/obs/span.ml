@@ -29,11 +29,27 @@ let wait_component = function
   | "delayed" -> "slot_wait"
   | _ -> "queue_wait"
 
-let component_names t =
-  [
-    "top_wait"; "top_handler"; "decision_wait"; wait_component t.sp_class;
-    "bottom_handler";
-  ]
+(* The five components in causal order: the one place their names and
+   values are defined. *)
+let n_components = 5
+
+let component_name t = function
+  | 0 -> "top_wait"
+  | 1 -> "top_handler"
+  | 2 -> "decision_wait"
+  | 3 -> wait_component t.sp_class
+  | 4 -> "bottom_handler"
+  | _ -> invalid_arg "Span.component_name"
+
+let component t = function
+  | 0 -> t.sp_top_start -. t.sp_arrival
+  | 1 -> t.sp_top_end -. t.sp_top_start
+  | 2 -> t.sp_decision -. t.sp_top_end
+  | 3 -> t.sp_bh_start -. t.sp_decision
+  | 4 -> t.sp_completion -. t.sp_bh_start
+  | _ -> invalid_arg "Span.component"
+
+let component_names t = List.init n_components (component_name t)
 
 let all_component_names =
   [
@@ -42,13 +58,7 @@ let all_component_names =
   ]
 
 let components t =
-  [
-    ("top_wait", t.sp_top_start -. t.sp_arrival);
-    ("top_handler", t.sp_top_end -. t.sp_top_start);
-    ("decision_wait", t.sp_decision -. t.sp_top_end);
-    (wait_component t.sp_class, t.sp_bh_start -. t.sp_decision);
-    ("bottom_handler", t.sp_completion -. t.sp_bh_start);
-  ]
+  List.init n_components (fun i -> (component_name t i, component t i))
 
 let valid t =
   t.sp_arrival <= t.sp_top_start

@@ -34,6 +34,19 @@ val wait_component : string -> string
 (** The class-specific name of the dispatch-wait component:
     [interposed_wait], [slot_wait] or [queue_wait]. *)
 
+val n_components : int
+(** Components per span: 5. *)
+
+val component_name : t -> int -> string
+(** [component_name t i] is the name of component [i] of [t]
+    ([0 <= i < n_components], causal order).
+    @raise Invalid_argument outside that range. *)
+
+val component : t -> int -> float
+(** [component t i] is the duration of component [i] in microseconds,
+    without building the {!components} list.
+    @raise Invalid_argument outside [0, n_components). *)
+
 val component_names : t -> string list
 (** The five component names of this span, in causal order. *)
 

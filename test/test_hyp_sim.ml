@@ -485,6 +485,41 @@ let test_horizon_counts_unfinished () =
   Alcotest.(check int) "none unfinished without a horizon" 0
     (Hyp_sim.stats finished).Hyp_sim.unfinished_irqs
 
+let test_horizon_counts_unraised () =
+  (* rthv_sim --count 40 --mean-us 100000000 --seed 1: arrivals ~100 s
+     apart, so the one-hour default horizon cuts the stream short.  The
+     arrivals it never raised are counted, not lost. *)
+  let interarrivals =
+    Gen.exponential ~seed:1 ~mean:(us 100_000_000) ~count:40
+  in
+  let stats = Hyp_sim.stats (run (config interarrivals)) in
+  Alcotest.(check bool) "some unraised" true
+    (stats.Hyp_sim.unraised_arrivals > 0);
+  Alcotest.(check int) "completed + unfinished + unraised = generated" 40
+    (stats.Hyp_sim.completed_irqs + stats.Hyp_sim.unfinished_irqs
+   + stats.Hyp_sim.unraised_arrivals);
+  let drained = run (config [| us 1000; us 20; us 20 |]) in
+  Alcotest.(check int) "none unraised after a run to quiescence" 0
+    (Hyp_sim.stats drained).Hyp_sim.unraised_arrivals
+
+let test_switches_filling_the_cycle_rejected () =
+  (* One 40 us slot on a platform whose partition switch takes 50 us: every
+     boundary queues a switch longer than the slot, so no partition ever
+     runs and the hypervisor queue grows until the horizon.  Validation
+     rejects it before anything runs. *)
+  let config =
+    config
+      ~partitions:[ Config.partition ~name:"P" ~slot_us:40 () ]
+      ~subscriber:0 ~platform:Platform.arm926ejs_200mhz
+      ~finish_bh_at_boundary:false [| us 34 |]
+  in
+  (match Config.validate config with
+  | Ok () -> Alcotest.fail "expected a validation error"
+  | Error _ -> ());
+  match Hyp_sim.create config with
+  | _ -> Alcotest.fail "Hyp_sim.create accepted the configuration"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "direct handling" `Quick test_direct_in_own_slot;
@@ -525,6 +560,10 @@ let suite =
     Alcotest.test_case "horizon stop" `Quick test_horizon_stops;
     Alcotest.test_case "horizon counts unfinished IRQs" `Quick
       test_horizon_counts_unfinished;
+    Alcotest.test_case "horizon counts unraised arrivals" `Quick
+      test_horizon_counts_unraised;
+    Alcotest.test_case "slot switches filling the cycle rejected" `Quick
+      test_switches_filling_the_cycle_rejected;
   ]
 
 let test_no_sources_quiescent () =

@@ -75,6 +75,32 @@ let test_rthv002_tiny_slot () =
   check_fires "tiny slot" "RTHV002" (Lint.analyze config);
   check_silent "normal slots" "RTHV002" (Lint.analyze (baseline ()))
 
+let test_rthv002_unsimulable_cycle () =
+  (* A lone 40 us slot: its 50 us switch fills the whole cycle, so
+     Config.validate rejects the configuration (RTHV001) and RTHV002 still
+     names the slot; the certify pipeline replays nothing. *)
+  let config =
+    Config.make
+      ~partitions:[ Config.partition ~name:"tiny" ~slot_us:40 () ]
+      ~sources:
+        [
+          Config.source ~name:"s" ~line:0 ~subscriber:0 ~c_th_us:1 ~c_bh_us:5
+            ~interarrivals:[| us 34 |] ();
+        ]
+      ()
+  in
+  let diags = Lint.analyze config in
+  check_fires "unsimulable" "RTHV001" diags;
+  check_fires "unsimulable" "RTHV002" diags;
+  let _, witnesses = Rthv_check.Witness.certified config in
+  Alcotest.(check int) "no replay" 0 (List.length witnesses);
+  match Rthv_check.Certify.build config with
+  | Error e -> Alcotest.fail e
+  | Ok artifact -> (
+      match Rthv_check.Certify.recheck artifact with
+      | Ok () -> ()
+      | Error vs -> Alcotest.fail (String.concat "; " vs))
+
 let test_rthv003_unbounded_condition () =
   let config = baseline ~shaping:(Config.Fixed_monitor (DF.unbounded ~l:2)) () in
   check_fires "unbounded" "RTHV003" (Lint.analyze config);
@@ -461,6 +487,8 @@ let suite =
     Alcotest.test_case "baseline clean" `Quick test_baseline_clean;
     Alcotest.test_case "RTHV001 short-circuits" `Quick test_rthv001_short_circuits;
     Alcotest.test_case "RTHV002 tiny slot" `Quick test_rthv002_tiny_slot;
+    Alcotest.test_case "RTHV002 unsimulable cycle" `Quick
+      test_rthv002_unsimulable_cycle;
     Alcotest.test_case "RTHV003 unbounded condition" `Quick
       test_rthv003_unbounded_condition;
     Alcotest.test_case "RTHV004 overload" `Quick test_rthv004_overload;

@@ -39,6 +39,7 @@ let () =
       ("core.trace_query", Test_trace_query.suite);
       ("obs", Test_obs.suite);
       ("obs.merge", Test_obs_merge.suite);
+      ("obs.live", Test_live_metrics.suite);
       ("obs.span", Test_span.suite);
       ("obs.prof", Test_prof.suite);
       ("core.flight", Test_flight.suite);

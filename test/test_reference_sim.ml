@@ -130,6 +130,7 @@ let compare_runs config =
         r.Ref.bh_boundary_deferrals );
       ("coalesced", s.Hyp_sim.coalesced_irqs, r.Ref.coalesced);
       ("unfinished", s.Hyp_sim.unfinished_irqs, 0);
+      ("unraised", s.Hyp_sim.unraised_arrivals, 0);
       ("sim_time", s.Hyp_sim.sim_time, r.Ref.sim_time);
       ("records", List.length records, List.length r.Ref.irqs);
     ]
